@@ -35,7 +35,6 @@ import networkx as nx
 from bench_utils import run_once
 
 from repro.engine import (
-    NUMBA_AVAILABLE,
     Engine,
     ResultStore,
     StoppingRule,
@@ -242,20 +241,6 @@ def test_realization_batch_speedup():
     print(f"node-MEG n=48, 512 trials:  per-trial {timings['vectorized'] * 1e3:8.1f} ms   "
           f"batched {timings['batch'] * 1e3:8.1f} ms   (speedup x{speedup:.1f})")
     assert speedup >= 3.0
-
-
-def test_jit_csr_exactness():
-    # The sparse kernel's frontier expansion routes through repro.engine.jit
-    # (numba row loop when the repro[jit] extra is installed, exact NumPy
-    # matvec otherwise).  Either path must match the set-based loop; the
-    # printed status records which one this environment measured.
-    def spec() -> TrialSpec:
-        return TrialSpec.from_model(_sparse_snapshot(1024), num_trials=3, seed=0)
-
-    timings = _compare_backends(spec, ("set", "sparse"), repeats=2)
-    print()
-    print(f"sparse kernel n=1024 (numba {'active' if NUMBA_AVAILABLE else 'absent'}):  "
-          f"set {timings['set'] * 1e3:8.1f} ms   sparse {timings['sparse'] * 1e3:8.1f} ms")
 
 
 def test_engine_worker_count_invariance():
@@ -513,22 +498,6 @@ def run_benchmark_suite(quick: bool = False) -> dict:
         "num_trials": batch_trials,
         "milliseconds": {k: v * 1e3 for k, v in timings.items()},
         "speedup": timings["vectorized"] / timings["batch"],
-    }
-
-    jit_model = _sparse_snapshot(1024)
-    timings = _compare_backends(
-        lambda: TrialSpec.from_model(jit_model, num_trials=3, seed=0),
-        ("vectorized", "sparse"),
-        repeats=repeats,
-    )
-    # The trajectory point tracks the JIT-capable path: which implementation
-    # (numba row loop / NumPy matvec fallback) this run measured, and how the
-    # sparse kernel sits against dense on the same snapshot.
-    report["benchmarks"]["jit_csr"] = {
-        "num_nodes": 1024,
-        "numba_available": NUMBA_AVAILABLE,
-        "milliseconds": {k: v * 1e3 for k, v in timings.items()},
-        "speedup": timings["vectorized"] / timings["sparse"],
     }
 
     # Adaptive-sampling trajectory: trials the stopping rule needs to hit the

@@ -151,7 +151,7 @@ from repro.sweeps import (
 )
 from repro.telemetry import core as telemetry_core
 from repro.telemetry.log import configure as configure_logging
-from repro.telemetry.report import format_report, load_events, summarize_events
+from repro.telemetry.report import format_report, load_events, telemetry_report
 from repro.telemetry.timeseries import (
     DEFAULT_WINDOW_SECONDS,
     TelemetryTailer,
@@ -1288,14 +1288,13 @@ def _run_serve(args: argparse.Namespace) -> int:
 
 def _run_telemetry_report(args: argparse.Namespace) -> int:
     try:
-        events, skipped = load_events(args.directory, with_skipped=True)
+        summary = telemetry_report(args.directory, top=args.top)
     except FileNotFoundError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    if not events:
+    if not summary["events"]:
         print(f"no telemetry events under {args.directory}", file=sys.stderr)
         return 1
-    summary = summarize_events(events, top=args.top, skipped_lines=skipped)
     print(format_report(summary))
     if args.json_path:
         _write_json(args.json_path, summary)
@@ -1313,7 +1312,7 @@ def _telemetry_events_or_error(args: argparse.Namespace):
         )
         return None
     try:
-        events, _ = load_events(directory, with_skipped=True)
+        events = load_events(directory)
     except FileNotFoundError as error:
         print(f"error: {error}", file=sys.stderr)
         return None

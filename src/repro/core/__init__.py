@@ -27,8 +27,6 @@ from repro.core.bounds import (
 from repro.core.epochs import degree_into_set, set_expansion, spread_over_window
 from repro.core.flooding import (
     FloodingResult,
-    batch_source_flooding_times,
-    batched_flooding_time_samples,
     default_max_steps,
     flood,
     flood_sources_set,
@@ -55,8 +53,6 @@ __all__ = [
     "FloodingResult",
     "SpreadingResult",
     "StationarityEstimate",
-    "batch_source_flooding_times",
-    "batched_flooding_time_samples",
     "corollary4_bound",
     "corollary5_bound",
     "corollary6_bound",

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.meg.base import DynamicGraph
-from repro.util.rng import RNGLike, ensure_rng, spawn_rngs
+from repro.util.rng import RNGLike, spawn_rngs
 
 
 @dataclass(frozen=True)
@@ -232,113 +232,6 @@ def flood_sources_set(
         if all(time is not None for time in times):
             break
     return times
-
-
-def batch_source_flooding_times(
-    process: DynamicGraph,
-    sources: object = "all",
-    rng: RNGLike = None,
-    max_steps: Optional[int] = None,
-    backend: str = "auto",
-    chunk_size: Optional[int] = None,
-) -> list[int]:
-    """Flooding time from every source of a batch over one shared realization.
-
-    ``sources`` is ``"all"`` (every node — the exhaustive per-realization
-    worst-case estimator), an integer ``k`` (that many distinct sources
-    sampled uniformly from ``rng``), or an explicit sequence of node indices.
-    The whole batch is flooded in one vectorized pass (dense or sparse
-    according to ``backend``); raises if any source hits the step cap.
-    ``chunk_size`` bounds the sources advanced per pass: the realization is
-    recorded once and replayed for later chunks (identical results, memory
-    capped at an ``n x chunk_size`` informed matrix).
-    """
-    # Imported here: repro.engine builds on this module (no import cycle).
-    from repro.engine import flood_sources_batch, resolve_backend
-
-    generator = ensure_rng(rng)
-    n = process.num_nodes
-    if isinstance(sources, str):
-        if sources != "all":
-            raise ValueError(f"sources must be 'all', a count or a sequence, got {sources!r}")
-        source_list = list(range(n))
-    elif isinstance(sources, (int, np.integer)):
-        if sources < 1:
-            raise ValueError(f"the source sample size must be >= 1, got {sources}")
-        if sources > n:
-            raise ValueError(
-                f"the source sample size ({sources}) exceeds the model's {n} nodes"
-            )
-        chosen = generator.choice(n, size=int(sources), replace=False)
-        source_list = [int(s) for s in chosen]
-    else:
-        source_list = [int(s) for s in sources]
-    resolved = resolve_backend(backend, process)
-    if resolved == "set":
-        times = flood_sources_set(
-            process, source_list, rng=generator, max_steps=max_steps
-        )
-    else:
-        times = flood_sources_batch(
-            process,
-            source_list,
-            rng=generator,
-            max_steps=max_steps,
-            backend="sparse" if resolved == "sparse" else "dense",
-            chunk_size=chunk_size,
-        )
-    unfinished = sum(1 for time in times if time is None)
-    if unfinished:
-        raise RuntimeError(
-            f"flooding did not complete within the step limit for "
-            f"{unfinished}/{len(times)} sources"
-        )
-    return [int(time) for time in times]
-
-
-def batched_flooding_time_samples(
-    process: DynamicGraph,
-    num_trials: int,
-    sources: object = "all",
-    rng: RNGLike = None,
-    max_steps: Optional[int] = None,
-    workers: int = 1,
-    backend: str = "auto",
-    engine=None,
-) -> list[int]:
-    """Worst-case-over-sources flooding times of ``num_trials`` realizations.
-
-    Each trial draws an independent realization, floods a whole source batch
-    over it in one vectorized pass, and records the *largest* flooding time
-    of the batch — the batched estimator of ``F(G) = max_s F(G, s)``.
-    ``sources`` is ``"all"``, an integer ``k`` (distinct sources re-sampled
-    per trial from the trial's own seed stream) or an explicit sequence.
-
-    Execution routes through :class:`repro.engine.Engine` exactly like
-    :func:`flooding_time_samples`, so worker pools, kernel selection and the
-    persistent result store all apply; samples are bit-identical at any
-    worker count.
-    """
-    if num_trials < 1:
-        raise ValueError(f"num_trials must be >= 1, got {num_trials}")
-    # Imported here: repro.engine builds on this module (no import cycle).
-    from repro.engine import Engine, TrialSpec
-
-    if engine is None:
-        engine = Engine(workers=workers, backend=backend)
-    if isinstance(sources, (int, np.integer)):
-        spec_sources, spec_num_sources = None, int(sources)
-    else:
-        spec_sources, spec_num_sources = sources, None
-    spec = TrialSpec.from_model(
-        process,
-        num_trials=num_trials,
-        sources=spec_sources,
-        num_sources=spec_num_sources,
-        max_steps=max_steps,
-        seed=rng,
-    )
-    return list(engine.run(spec).flooding_times)
 
 
 def flooding_time(

@@ -23,8 +23,6 @@ The execution backbone all trial-running code routes through:
 ``repro.engine.batch``
     The realization-batch kernel — many trials of one family flooded as a
     single tensor pass (state-level fast paths for node-MEGs).
-``repro.engine.jit``
-    Optional Numba-JIT CSR frontier expansion with a pure-NumPy fallback.
 ``repro.engine.replay``
     :class:`SnapshotReplay` — record one realization's snapshots, replay
     them bit-identically (chunked source batches never re-step the model).
@@ -55,7 +53,6 @@ from repro.engine.engine import (
     estimated_snapshot_density,
     resolve_backend,
 )
-from repro.engine.jit import NUMBA_AVAILABLE
 from repro.engine.kernel import (
     flood_sources_batch,
     flood_sparse,
@@ -95,7 +92,6 @@ __all__ = [
     "Engine",
     "MergeConflictError",
     "MergeReport",
-    "NUMBA_AVAILABLE",
     "ResultStore",
     "SPARSE_AUTO_MAX_DENSITY",
     "SPARSE_AUTO_MIN_NODES",

@@ -27,7 +27,6 @@ import numpy as np
 import scipy.sparse
 
 from repro.core.flooding import FloodingResult, default_max_steps
-from repro.engine.jit import NUMBA_AVAILABLE, csr_reach
 from repro.meg.base import DynamicGraph
 from repro.telemetry import core as telemetry
 from repro.util.rng import RNGLike
@@ -170,34 +169,24 @@ def flood_sparse(
     informed = np.zeros(n, dtype=bool)
     informed[source] = True
     flooding_time_value: Optional[int] = None
-    # Scratch hoisted out of the round loop: the JIT path reuses one boolean
-    # reach vector, the fallback one intp count vector (the per-round
-    # ``informed.astype`` allocations used to dominate small-model rounds).
-    # The CSR conversion is memoized by the identity of the returned matrix,
-    # so models serving a cached snapshot convert once, not once per round.
-    reach_scratch = np.empty(n, dtype=bool)
-    count_scratch = None if NUMBA_AVAILABLE else np.empty(n, dtype=np.intp)
+    # The count vector is scratch hoisted out of the round loop.  The CSR
+    # conversion is memoized by the identity of the returned matrix, so
+    # models serving a cached snapshot convert once, not once per round.
+    count_scratch = np.empty(n, dtype=np.intp)
     raw_cached = matrix = None
     for t in range(max_steps):
         raw = process.sparse_adjacency()
         if raw is not raw_cached:
             matrix = _as_count_csr(raw)
             raw_cached = raw
-        if NUMBA_AVAILABLE:
-            informed |= csr_reach(matrix, informed, reach_scratch)
-        else:
-            np.copyto(count_scratch, informed)
-            informed |= (matrix @ count_scratch) != 0
+        np.copyto(count_scratch, informed)
+        informed |= (matrix @ count_scratch) != 0
         count = int(informed.sum())
         history.append(count)
         process.step()
         if count == n:
             flooding_time_value = t + 1
             break
-    if NUMBA_AVAILABLE:
-        tel = telemetry.active()
-        if tel is not None:
-            tel.count("kernel.jit.csr")
     _record_flood("sparse", history)
     return FloodingResult(source, n, tuple(history), flooding_time_value)
 

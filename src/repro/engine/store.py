@@ -271,14 +271,23 @@ class ResultStore:
 
         The append happens under the store lock and the data file is opened
         after the lock is taken, so concurrent writers never interleave
-        partial lines and never append to a just-compacted stale inode.
+        partial lines and never append to a just-compacted stale inode.  A
+        torn last line left by a writer that crashed mid-append is
+        terminated first, so the new record starts a line of its own instead
+        of being glued onto the unparseable fragment.
         """
         index = self._ensure_index()
         record = jsonify(record)
         line = json.dumps({"key": key, "record": record}, sort_keys=True) + "\n"
         with self._locked():
-            with open(self._path, "a", encoding="utf-8") as handle:
-                handle.write(line)
+            with open(self._path, "a+b") as handle:
+                end = handle.seek(0, os.SEEK_END)
+                if end:
+                    handle.seek(end - 1)
+                    if handle.read(1) != b"\n":
+                        line = "\n" + line
+                        telemetry.count("store.torn_tail_repaired")
+                handle.write(line.encode("utf-8"))
                 handle.flush()
         index[key] = record
         self._line_count += 1

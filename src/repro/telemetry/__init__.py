@@ -2,10 +2,10 @@
 
 See :mod:`repro.telemetry.core` for the tracer/metrics registry,
 :mod:`repro.telemetry.trace` for cross-process trace propagation and
-reconstruction, :mod:`repro.telemetry.timeseries` for the incremental
-event tailer and Prometheus exposition, :mod:`repro.telemetry.report` for
-the ``repro telemetry report`` merger, and :mod:`repro.telemetry.log` for
-stdlib ``logging`` wiring.
+reconstruction, :mod:`repro.telemetry.timeseries` for the event tailer
+(the one fold over telemetry events) and Prometheus exposition,
+:mod:`repro.telemetry.report` for the ``repro telemetry report`` view of
+it, and :mod:`repro.telemetry.log` for stdlib ``logging`` wiring.
 """
 
 from repro.telemetry.core import (
@@ -25,12 +25,7 @@ from repro.telemetry.core import (
     trace_carrier,
 )
 from repro.telemetry.log import LOG_FORMAT, configure, get_logger
-from repro.telemetry.report import (
-    format_report,
-    load_events,
-    summarize_events,
-    telemetry_report,
-)
+from repro.telemetry.report import format_report, load_events, telemetry_report
 from repro.telemetry.timeseries import (
     TelemetryTailer,
     render_prometheus,
@@ -72,7 +67,6 @@ __all__ = [
     "mint_trace_id",
     "render_prometheus",
     "span",
-    "summarize_events",
     "summarize_trace",
     "telemetry_report",
     "timing",

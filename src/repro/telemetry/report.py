@@ -1,8 +1,11 @@
-"""Merge per-process telemetry event files into one run summary.
+"""Run reports over a telemetry directory: ``repro telemetry report``.
 
-``repro telemetry report DIR`` is this module: every ``events-*.jsonl`` file
-in a telemetry directory (one per process that ran with ``--telemetry DIR``)
-is parsed, and the events are folded into a single report:
+A report is a view, not a second fold: :func:`telemetry_report` runs one
+final :class:`~repro.telemetry.timeseries.TelemetryTailer` poll over every
+``events-*.jsonl`` file (one per process that ran with ``--telemetry DIR``)
+and returns :meth:`~repro.telemetry.timeseries.TelemetryTailer.summary`,
+the same state ``GET /metrics``, ``repro telemetry export`` and ``repro
+fleet top`` read.  :func:`format_report` renders it:
 
 * **phase breakdown** — wall-clock totals per span name (engine batches,
   worker jobs, fleet fan-in phases);
@@ -10,196 +13,59 @@ is parsed, and the events are folded into a single report:
 * **worker utilization** — per process, busy time (job-span seconds) over
   the process's observed wall span;
 * **slowest jobs** — the top-N ``worker.job`` / ``engine.run`` spans;
-* **requeue forensics** — every ``queue.requeue`` / ``queue.failed`` event
-  with its attempt count and error.
+* **requeue forensics** — the ``queue.requeue`` / ``queue.failed`` events
+  with their attempt counts and errors.
 
-Parsing is tolerant: truncated last lines (a crashed process) are skipped,
-unknown event kinds are counted but otherwise ignored — forensics must work
-on exactly the runs that went wrong.
+Reading is tolerant: a corrupt or truncated line (the torn tail of a
+crashed process) is counted in ``skipped_lines`` and skipped, and unknown
+event kinds are counted but otherwise ignored — forensics must work on
+exactly the runs that went wrong.  :func:`load_events` returns the raw
+events instead, for ``repro telemetry trace``.
 """
 
 from __future__ import annotations
 
-import glob
-import json
 import os
 
-__all__ = ["format_report", "load_events", "summarize_events", "telemetry_report"]
+from repro.telemetry.timeseries import (
+    DEFAULT_TOP,
+    TelemetryTailer,
+    event_paths,
+    read_events,
+)
 
-#: Span names treated as "one unit of scheduled work" for utilization/slowest.
-JOB_SPANS = ("worker.job", "engine.run", "engine.run_shard")
+__all__ = ["format_report", "load_events", "telemetry_report"]
 
 
-def load_events(directory: str, with_skipped: bool = False):
-    """Every parseable event in ``directory``'s ``events-*.jsonl`` files.
-
-    Events are returned in wall-clock order (the per-process files are
-    already ordered; the merge sorts by the ``ts`` stamp).  With
-    ``with_skipped=True`` the return value is ``(events, skipped)`` where
-    ``skipped`` counts the corrupt or truncated lines that were dropped —
-    forensics on a crashed run should say how much evidence went missing
-    rather than silently reading past it.
-    """
+def _require_directory(directory: str) -> None:
     if not os.path.isdir(directory):
         raise FileNotFoundError(f"no telemetry directory at {directory}")
+
+
+def load_events(directory: str) -> list[dict]:
+    """Every parseable event in ``directory``'s event files, in ``ts`` order.
+
+    The raw events ``repro telemetry trace`` rebuilds span trees from; read
+    with :func:`~repro.telemetry.timeseries.read_events` like a final poll.
+    """
+    _require_directory(directory)
     events: list[dict] = []
-    skipped = 0
-    for path in sorted(glob.glob(os.path.join(directory, "events-*.jsonl"))):
-        with open(path, encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError:
-                    skipped += 1  # truncated tail of a crashed process
-                    continue
-                if isinstance(record, dict):
-                    events.append(record)
-                else:
-                    skipped += 1  # parseable but not an event object
+    for path in event_paths(directory):
+        events.extend(read_events(path, final=True)[0])
     events.sort(key=lambda record: record.get("ts", 0.0))
-    if with_skipped:
-        return events, skipped
     return events
 
 
-def _merge_timing(into: dict, name: str, serialized: dict) -> None:
-    aggregate = into.get(name)
-    if aggregate is None:
-        into[name] = dict(serialized)
-        return
-    aggregate["count"] += int(serialized["count"])
-    aggregate["total"] += float(serialized["total"])
-    aggregate["min"] = min(aggregate["min"], float(serialized["min"]))
-    aggregate["max"] = max(aggregate["max"], float(serialized["max"]))
-    aggregate["mean"] = aggregate["total"] / aggregate["count"] if aggregate["count"] else 0.0
-
-
-def summarize_events(events: list[dict], top: int = 5, skipped_lines: int = 0) -> dict:
-    """Fold a merged event list into the report dict (see module docstring).
-
-    ``skipped_lines`` is the unparseable-line count from
-    :func:`load_events`; it is surfaced verbatim in the summary so both the
-    text and ``--json`` report forms show how lossy the read was.
-    """
-    processes: dict[str, dict] = {}
-    phases: dict[str, dict] = {}
-    counters: dict[str, float] = {}
-    gauges: dict[str, float] = {}
-    timings: dict[str, dict] = {}
-    job_spans: list[dict] = []
-    requeues: list[dict] = []
-    queue_transitions: dict[str, int] = {}
-
-    for record in events:
-        process = str(record.get("process", "?"))
-        ts = float(record.get("ts", 0.0))
-        entry = processes.setdefault(
-            process, {"events": 0, "first_ts": ts, "last_ts": ts, "busy_seconds": 0.0}
-        )
-        entry["events"] += 1
-        entry["first_ts"] = min(entry["first_ts"], ts)
-        entry["last_ts"] = max(entry["last_ts"], ts)
-
-        kind = record.get("kind")
-        if kind == "span":
-            name = str(record.get("name", "?"))
-            duration = float(record.get("duration_seconds", 0.0))
-            phase = phases.setdefault(
-                name, {"count": 0, "total_seconds": 0.0, "max_seconds": 0.0}
-            )
-            phase["count"] += 1
-            phase["total_seconds"] += duration
-            phase["max_seconds"] = max(phase["max_seconds"], duration)
-            if name in JOB_SPANS:
-                job_spans.append(record)
-                if name == "worker.job":
-                    entry["busy_seconds"] += duration
-        elif kind == "metrics":
-            for name, value in record.get("counters", {}).items():
-                counters[name] = counters.get(name, 0) + value
-            for name, value in record.get("gauges", {}).items():
-                gauges[name] = value
-            for name, serialized in record.get("timings", {}).items():
-                _merge_timing(timings, name, serialized)
-        elif kind == "event":
-            name = str(record.get("name", "?"))
-            if name.startswith("queue."):
-                queue_transitions[name] = queue_transitions.get(name, 0) + 1
-            if name in ("queue.requeue", "queue.failed"):
-                requeues.append(record)
-
-    for phase in phases.values():
-        phase["mean_seconds"] = (
-            phase["total_seconds"] / phase["count"] if phase["count"] else 0.0
-        )
-
-    hits = counters.get("engine.store.hit", 0)
-    misses = counters.get("engine.store.miss", 0)
-    store = {
-        "hits": hits,
-        "misses": misses,
-        "puts": counters.get("engine.store.put", 0),
-        "hit_rate": hits / (hits + misses) if hits + misses else None,
-        "lock_wait": timings.get("store.lock_wait_seconds"),
-    }
-
-    workers = {}
-    for process, entry in processes.items():
-        wall = entry["last_ts"] - entry["first_ts"]
-        busy = entry["busy_seconds"]
-        if busy:
-            workers[process] = {
-                "busy_seconds": busy,
-                "wall_seconds": wall,
-                "utilization": min(1.0, busy / wall) if wall > 0 else 1.0,
-            }
-
-    slowest = sorted(
-        job_spans, key=lambda r: float(r.get("duration_seconds", 0.0)), reverse=True
-    )[:top]
-    slowest_jobs = [
-        {
-            "name": record.get("name"),
-            "job": record.get("job") or record.get("label"),
-            "process": record.get("process"),
-            "duration_seconds": float(record.get("duration_seconds", 0.0)),
-        }
-        for record in slowest
-    ]
-
-    return {
-        "events": len(events),
-        "skipped_lines": int(skipped_lines),
-        "processes": processes,
-        "phases": phases,
-        "metrics": {"counters": counters, "gauges": gauges, "timings": timings},
-        "store": store,
-        "workers": workers,
-        "slowest_jobs": slowest_jobs,
-        "queue": queue_transitions,
-        "requeues": [
-            {
-                "name": record.get("name"),
-                "job": record.get("job"),
-                "attempts": record.get("attempts"),
-                "error": record.get("error"),
-            }
-            for record in requeues
-        ],
-    }
-
-
-def telemetry_report(directory: str, top: int = 5) -> dict:
-    """Load and summarize a telemetry directory in one call."""
-    events, skipped = load_events(directory, with_skipped=True)
-    return summarize_events(events, top=top, skipped_lines=skipped)
+def telemetry_report(directory: str, top: int = DEFAULT_TOP) -> dict:
+    """One final tailer poll of ``directory``, as the report dict."""
+    _require_directory(directory)
+    tailer = TelemetryTailer(directory, top=top)
+    tailer.poll(final=True)
+    return tailer.summary()
 
 
 def format_report(summary: dict) -> str:
-    """Human-readable rendering of :func:`summarize_events`' dict."""
+    """Human-readable rendering of :func:`telemetry_report`'s dict."""
     lines = [
         f"telemetry: {summary['events']} event(s) from "
         f"{len(summary['processes'])} process(es)"

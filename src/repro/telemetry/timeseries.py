@@ -1,22 +1,33 @@
-"""Incremental telemetry tailing and Prometheus text exposition.
+"""The one fold over telemetry events, and Prometheus text exposition.
 
-:mod:`repro.telemetry.report` is post-hoc: it re-reads whole event files
-after a run.  This module is the *live* counterpart — a
-:class:`TelemetryTailer` follows the per-process ``events-*.jsonl`` files
-with byte-offset checkpoints (only complete, newly appended lines are
-consumed; a partial tail line is left for the next poll) and folds what it
-sees into:
+A :class:`TelemetryTailer` follows a telemetry directory's per-process
+``events-*.jsonl`` files by byte offset and is the only code that folds
+telemetry records.  Every view reads its state: ``GET /metrics`` and
+``repro telemetry export`` (:meth:`TelemetryTailer.exposition`), ``repro
+fleet top`` (:mod:`repro.fleet.top`) and ``repro telemetry report``
+(:meth:`TelemetryTailer.summary`, after one final poll).  The fold keeps:
 
-* merged **cumulative metrics** (the ``metrics`` events flushed by closed
-  processes);
+* merged **cumulative metrics** from the ``metrics`` events flushed by
+  closed processes: counters add, timing aggregates merge, and for a gauge
+  the value with the latest ``ts`` wins, whatever order the files are
+  read in;
+* **run-report state** — per-process event counts, first/last ``ts`` and
+  busy seconds, per-span-name phases, queue-transition counts, the newest
+  requeue/failure events and the slowest job spans (a top-N heap), all
+  bounded so a tailer living inside ``repro serve`` does not grow with the
+  number of events;
 * **windowed rates** over the last ``window`` seconds — jobs/s, failure
-  and requeue rates, p50/p95 job latency (from live ``worker.job`` span
-  events) and per-worker busy fractions;
+  and requeue rates, p50/p95 job latency (from ``worker.job`` spans) and
+  per-worker busy fractions;
 * **in-flight state** — jobs claimed but not yet done/failed/requeued,
-  with claimant and age (the ``repro fleet top`` "slowest in-flight"
-  panel);
-* liveness — last event timestamp per process, distinct trace ids seen,
-  and the count of corrupt/truncated lines skipped.
+  with claimant and age;
+* distinct trace ids seen and the count of corrupt lines skipped.
+
+:func:`read_events` is the one reader of event files: it parses the
+complete lines from a byte offset and counts corrupt ones.  A live poll
+leaves an unterminated tail (a process mid-write) for the next poll; a
+final poll also parses it, so a crashed writer's torn last line counts as
+skipped.
 
 :func:`render_prometheus` serialises metric families into the Prometheus
 text exposition format (version 0.0.4) without any third-party client
@@ -29,7 +40,9 @@ Offsets survive restarts via :meth:`TelemetryTailer.save_checkpoint` /
 
 from __future__ import annotations
 
+import bisect
 import glob
+import heapq
 import json
 import os
 import re
@@ -37,10 +50,15 @@ import time
 from collections import deque
 from typing import Optional
 
+from repro.telemetry.core import _Aggregate
+
 __all__ = [
+    "DEFAULT_TOP",
     "DEFAULT_WINDOW_SECONDS",
     "TelemetryTailer",
+    "event_paths",
     "metric_name",
+    "read_events",
     "render_prometheus",
     "validate_exposition",
 ]
@@ -48,8 +66,54 @@ __all__ = [
 #: Window (seconds) over which rates and latency quantiles are computed.
 DEFAULT_WINDOW_SECONDS = 60.0
 
+#: Slowest job spans the tailer keeps (``repro telemetry report --top``).
+DEFAULT_TOP = 5
+
+#: Requeue/failure events kept for forensics (the newest by ``ts``).
+REQUEUE_LOG = 1000
+
+#: Span names treated as "one unit of scheduled work" for the slowest jobs.
+JOB_SPANS = ("worker.job", "engine.run", "engine.run_shard")
+
 _NAME_RE = re.compile(r"[^a-zA-Z0-9_:]")
 _EVENT_GLOB = "events-*.jsonl"
+
+
+def event_paths(directory: str) -> list[str]:
+    """The per-process event files of a telemetry directory, sorted by name."""
+    return sorted(glob.glob(os.path.join(directory, _EVENT_GLOB)))
+
+
+def read_events(
+    path: str, offset: int = 0, final: bool = False
+) -> tuple[list[dict], int, int]:
+    """Parse one event file from byte ``offset``: ``(records, skipped, end)``.
+
+    Only newline-terminated lines are read and ``end`` is the offset just
+    past the last of them, so a live reader leaves a line a process is still
+    writing for its next read.  A ``final`` read also parses that
+    unterminated tail: once a run is over it is a crashed writer's torn last
+    line.  ``skipped`` counts the lines that are not JSON objects.
+    """
+    with open(path, "rb") as handle:
+        handle.seek(offset)
+        chunk = handle.read()
+    consumed = len(chunk) if final else chunk.rfind(b"\n") + 1
+    records: list[dict] = []
+    skipped = 0
+    for raw in chunk[:consumed].splitlines():
+        if not raw.strip():
+            continue
+        try:
+            record = json.loads(raw)
+        except ValueError:  # JSONDecodeError and UnicodeDecodeError
+            skipped += 1
+            continue
+        if isinstance(record, dict):
+            records.append(record)
+        else:
+            skipped += 1
+    return records, skipped, offset + consumed
 
 
 def metric_name(name: str, prefix: str = "repro") -> str:
@@ -203,7 +267,7 @@ def _quantile(ordered: list[float], fraction: float) -> float:
 
 
 class TelemetryTailer:
-    """Incrementally follow a telemetry directory's event files.
+    """Incrementally follow and fold a telemetry directory's event files.
 
     Parameters
     ----------
@@ -211,37 +275,56 @@ class TelemetryTailer:
         The shared telemetry directory (``events-*.jsonl`` files).
     window:
         Sliding window in seconds for rates and latency quantiles.
+    top:
+        Slowest job spans kept for :meth:`summary`.
     """
 
     def __init__(
-        self, directory: str, window: float = DEFAULT_WINDOW_SECONDS
+        self,
+        directory: str,
+        window: float = DEFAULT_WINDOW_SECONDS,
+        top: int = DEFAULT_TOP,
     ) -> None:
         self.directory = str(directory)
         self.window = float(window)
+        self.top = int(top)
         self._offsets: dict[str, int] = {}
         # cumulative state
         self.counters: dict[str, float] = {}
         self.gauges: dict[str, float] = {}
-        self.timings: dict[str, dict] = {}
+        self._gauge_ts: dict[str, float] = {}
+        self._timings: dict[str, _Aggregate] = {}
         self.events_total = 0
         self.skipped_lines = 0
         self.trace_ids: set[str] = set()
-        self.last_seen: dict[str, float] = {}
+        self.processes: dict[str, dict] = {}
+        self.phases: dict[str, dict] = {}
+        self.queue_transitions: dict[str, int] = {}
         self.active_jobs: dict[str, dict] = {}
+        self._requeue_log: list[tuple] = []  # (ts, seq, entry), ts-sorted, capped
+        self._slowest: list[tuple] = []  # min-heap of (duration, -ts, -seq, entry)
         # windowed samples (pruned against ``window``)
         self._completions: deque = deque()
         self._failures: deque = deque()
         self._requeues: deque = deque()
         self._job_samples: deque = deque()  # (end_ts, duration, process)
 
+    @property
+    def timings(self) -> dict[str, dict]:
+        """Merged timing aggregates in their serialised (``as_dict``) form."""
+        return {name: aggregate.as_dict() for name, aggregate in self._timings.items()}
+
     # ------------------------------------------------------------------ #
     # ingestion
     # ------------------------------------------------------------------ #
-    def poll(self) -> int:
-        """Consume newly appended complete lines; returns events ingested."""
+    def poll(self, final: bool = False) -> int:
+        """Consume newly appended lines; returns events ingested.
+
+        ``final`` also consumes each file's unterminated tail (see
+        :func:`read_events`): the post-hoc read of a finished run.
+        """
         ingested = 0
-        pattern = os.path.join(self.directory, _EVENT_GLOB)
-        for path in sorted(glob.glob(pattern)):
+        for path in event_paths(self.directory):
             name = os.path.basename(path)
             offset = self._offsets.get(name, 0)
             try:
@@ -252,56 +335,74 @@ class TelemetryTailer:
                 offset = 0  # file was truncated/replaced: start over
             if size == offset:
                 continue
-            with open(path, "rb") as handle:
-                handle.seek(offset)
-                chunk = handle.read()
-            # Only complete lines are consumed; a partial tail (a process
-            # mid-write or mid-crash) stays unread until it gains its "\n".
-            last_newline = chunk.rfind(b"\n")
-            if last_newline < 0:
-                continue
-            complete, consumed = chunk[: last_newline + 1], last_newline + 1
-            self._offsets[name] = offset + consumed
-            for raw in complete.splitlines():
-                raw = raw.strip()
-                if not raw:
-                    continue
-                try:
-                    record = json.loads(raw.decode("utf-8"))
-                except (json.JSONDecodeError, UnicodeDecodeError):
-                    self.skipped_lines += 1
-                    continue
-                if isinstance(record, dict):
-                    self._ingest(record)
-                    ingested += 1
-                else:
-                    self.skipped_lines += 1
+            records, skipped, self._offsets[name] = read_events(path, offset, final)
+            self.skipped_lines += skipped
+            for record in records:
+                self._ingest(record)
+            ingested += len(records)
         return ingested
 
     def _ingest(self, record: dict) -> None:
         self.events_total += 1
         ts = float(record.get("ts", 0.0))
         process = str(record.get("process", "?"))
-        if ts > self.last_seen.get(process, 0.0):
-            self.last_seen[process] = ts
+        entry = self.processes.get(process)
+        if entry is None:
+            entry = self.processes[process] = {
+                "events": 0, "first_ts": ts, "last_ts": ts, "busy_seconds": 0.0,
+            }
+        entry["events"] += 1
+        entry["first_ts"] = min(entry["first_ts"], ts)
+        entry["last_ts"] = max(entry["last_ts"], ts)
         trace_id = record.get("trace")
         if trace_id:
             self.trace_ids.add(str(trace_id))
         kind = record.get("kind")
         if kind == "metrics":
-            self._merge_metrics(record)
+            self._merge_metrics(record, ts)
         elif kind == "span":
-            if record.get("name") == "worker.job":
-                duration = float(record.get("duration_seconds", 0.0))
-                self._job_samples.append((ts, duration, process))
-                job = record.get("job")
-                if job is not None:
-                    self.active_jobs.pop(str(job), None)
+            self._ingest_span(record, ts, process)
         elif kind == "event":
             self._ingest_event(record, ts)
 
+    def _ingest_span(self, record: dict, ts: float, process: str) -> None:
+        name = str(record.get("name", "?"))
+        duration = float(record.get("duration_seconds", 0.0))
+        phase = self.phases.setdefault(
+            name, {"count": 0, "total_seconds": 0.0, "max_seconds": 0.0}
+        )
+        phase["count"] += 1
+        phase["total_seconds"] += duration
+        phase["max_seconds"] = max(phase["max_seconds"], duration)
+        if name in JOB_SPANS and self.top > 0:
+            # Ties go to the earlier span, as in a ts-ordered stable sort.
+            item = (
+                duration,
+                -ts,
+                -self.events_total,  # unique: the entry dicts are never compared
+                {
+                    "name": name,
+                    "job": record.get("job") or record.get("label"),
+                    "process": record.get("process"),
+                    "duration_seconds": duration,
+                },
+            )
+            if len(self._slowest) < self.top:
+                heapq.heappush(self._slowest, item)
+            elif item > self._slowest[0]:
+                heapq.heapreplace(self._slowest, item)
+        if name == "worker.job":
+            self.processes[process]["busy_seconds"] += duration
+            self._job_samples.append((ts, duration, process))
+            job = record.get("job")
+            if job is not None:
+                self.active_jobs.pop(str(job), None)
+
     def _ingest_event(self, record: dict, ts: float) -> None:
-        name = record.get("name")
+        name = str(record.get("name", "?"))
+        if not name.startswith("queue."):
+            return
+        self.queue_transitions[name] = self.queue_transitions.get(name, 0) + 1
         job = record.get("job")
         if name == "queue.claim" and job is not None:
             self.active_jobs[str(job)] = {
@@ -319,24 +420,27 @@ class TelemetryTailer:
                 "queue.failed": self._failures,
             }[name]
             bucket.append(ts)
+        if name in ("queue.requeue", "queue.failed"):
+            entry = {
+                "name": name,
+                "job": job,
+                "attempts": record.get("attempts"),
+                "error": record.get("error"),
+            }
+            bisect.insort(self._requeue_log, (ts, self.events_total, entry))
+            if len(self._requeue_log) > REQUEUE_LOG:
+                del self._requeue_log[0]
 
-    def _merge_metrics(self, record: dict) -> None:
+    def _merge_metrics(self, record: dict, ts: float) -> None:
         for name, value in record.get("counters", {}).items():
             self.counters[name] = self.counters.get(name, 0) + value
         for name, value in record.get("gauges", {}).items():
-            self.gauges[name] = float(value)
+            # The newest observation wins, whichever file is read first.
+            if ts >= self._gauge_ts.get(name, float("-inf")):
+                self.gauges[name] = float(value)
+                self._gauge_ts[name] = ts
         for name, serialized in record.get("timings", {}).items():
-            aggregate = self.timings.get(name)
-            if aggregate is None:
-                self.timings[name] = dict(serialized)
-                continue
-            aggregate["count"] += int(serialized["count"])
-            aggregate["total"] += float(serialized["total"])
-            aggregate["min"] = min(aggregate["min"], float(serialized["min"]))
-            aggregate["max"] = max(aggregate["max"], float(serialized["max"]))
-            aggregate["mean"] = (
-                aggregate["total"] / aggregate["count"] if aggregate["count"] else 0.0
-            )
+            self._timings.setdefault(name, _Aggregate()).merge(serialized)
 
     # ------------------------------------------------------------------ #
     # checkpoints
@@ -417,6 +521,56 @@ class TelemetryTailer:
         return hits / (hits + misses) if hits + misses else None
 
     # ------------------------------------------------------------------ #
+    # run report
+    # ------------------------------------------------------------------ #
+    def summary(self) -> dict:
+        """The run-report view of the folded state (``repro telemetry report``).
+
+        Phase breakdown, merged metrics, store hit rate, per-process busy
+        time over the process's observed wall span, the slowest job spans
+        and requeue forensics in ``ts`` order.
+        """
+        counters = self.counters
+        hits = counters.get("engine.store.hit", 0)
+        misses = counters.get("engine.store.miss", 0)
+        timings = self.timings
+        workers = {}
+        for process, entry in self.processes.items():
+            busy = entry["busy_seconds"]
+            if busy:
+                wall = entry["last_ts"] - entry["first_ts"]
+                workers[process] = {
+                    "busy_seconds": busy,
+                    "wall_seconds": wall,
+                    "utilization": min(1.0, busy / wall) if wall > 0 else 1.0,
+                }
+        return {
+            "events": self.events_total,
+            "skipped_lines": self.skipped_lines,
+            "processes": {name: dict(entry) for name, entry in self.processes.items()},
+            "phases": {
+                name: dict(phase, mean_seconds=phase["total_seconds"] / phase["count"])
+                for name, phase in self.phases.items()
+            },
+            "metrics": {
+                "counters": dict(counters),
+                "gauges": dict(self.gauges),
+                "timings": timings,
+            },
+            "store": {
+                "hits": hits,
+                "misses": misses,
+                "puts": counters.get("engine.store.put", 0),
+                "hit_rate": hits / (hits + misses) if hits + misses else None,
+                "lock_wait": timings.get("store.lock_wait_seconds"),
+            },
+            "workers": workers,
+            "slowest_jobs": [item[-1] for item in sorted(self._slowest, reverse=True)],
+            "queue": dict(self.queue_transitions),
+            "requeues": [item[-1] for item in self._requeue_log],
+        }
+
+    # ------------------------------------------------------------------ #
     # exposition
     # ------------------------------------------------------------------ #
     def prometheus_families(
@@ -429,18 +583,19 @@ class TelemetryTailer:
 
         ``extra`` is a live in-process registry snapshot (the ``repro
         serve`` process's own counters, which are not flushed to disk until
-        shutdown); its counters add to, and its gauges override, the tailed
-        cumulative state.
+        shutdown); its counters add to the tailed cumulative state, and its
+        gauges, observed now and so the newest, override it.
         """
         counters = dict(self.counters)
         gauges = dict(self.gauges)
-        timings = {name: dict(agg) for name, agg in self.timings.items()}
+        timings: dict[str, _Aggregate] = {}
+        for source in (self.timings, (extra or {}).get("timings") or {}):
+            for name, serialized in source.items():
+                timings.setdefault(name, _Aggregate()).merge(serialized)
         if extra:
             for name, value in (extra.get("counters") or {}).items():
                 counters[name] = counters.get(name, 0) + value
             gauges.update(extra.get("gauges") or {})
-            for name, serialized in (extra.get("timings") or {}).items():
-                self._merge_extra_timing(timings, name, serialized)
 
         families = []
         if version is not None:
@@ -479,10 +634,10 @@ class TelemetryTailer:
                     "type": "summary",
                     "help": f"Telemetry timing aggregate {name}.",
                     "samples": [
-                        {"suffix": "_sum", "value": aggregate["total"]},
-                        {"suffix": "_count", "value": aggregate["count"]},
-                        {"suffix": "_min", "value": aggregate["min"]},
-                        {"suffix": "_max", "value": aggregate["max"]},
+                        {"suffix": "_sum", "value": aggregate.total},
+                        {"suffix": "_count", "value": aggregate.count},
+                        {"suffix": "_min", "value": aggregate.minimum},
+                        {"suffix": "_max", "value": aggregate.maximum},
                     ],
                 }
             )
@@ -528,17 +683,6 @@ class TelemetryTailer:
             ]
         )
         return families
-
-    @staticmethod
-    def _merge_extra_timing(timings: dict, name: str, serialized: dict) -> None:
-        aggregate = timings.get(name)
-        if aggregate is None:
-            timings[name] = dict(serialized)
-            return
-        aggregate["count"] += int(serialized["count"])
-        aggregate["total"] += float(serialized["total"])
-        aggregate["min"] = min(aggregate["min"], float(serialized["min"]))
-        aggregate["max"] = max(aggregate["max"], float(serialized["max"]))
 
     @staticmethod
     def _window_families(stats: dict) -> list[dict]:

@@ -51,12 +51,15 @@ def summarize(samples: Sequence[float]) -> TrialSummary:
     arr = np.asarray(list(samples), dtype=float)
     if arr.size == 0:
         raise ValueError("cannot summarise an empty sample")
+    minimum, maximum = float(arr.min()), float(arr.max())
+    # A constant sample has no spread; computed, the mean of large values can
+    # round one ulp off and leave a spurious nonzero deviation.
     return TrialSummary(
         count=int(arr.size),
         mean=float(arr.mean()),
-        std=float(arr.std(ddof=1)) if arr.size > 1 else 0.0,
-        minimum=float(arr.min()),
-        maximum=float(arr.max()),
+        std=float(arr.std(ddof=1)) if arr.size > 1 and minimum != maximum else 0.0,
+        minimum=minimum,
+        maximum=maximum,
         median=float(np.median(arr)),
         q90=float(np.quantile(arr, 0.90)),
         q99=float(np.quantile(arr, 0.99)),

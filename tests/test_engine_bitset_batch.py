@@ -1,9 +1,9 @@
 """Bit-packed and realization-batched kernels: exactness on every family.
 
 PR 7's kernels only exist for speed, so the entire test surface is equality:
-the bitset kernel, the realization-batch kernel and the optional JIT CSR
-expansion must return bit-identical flooding outcomes to the set-based loop
-on shared seeds for every model family, and the cell-list neighbor search
+the bitset kernel, the realization-batch kernel and the sparse kernel must
+return bit-identical flooding outcomes to the set-based loop on shared seeds
+for every model family, and the cell-list neighbor search
 must return exactly the k-d tree's edge set.  The file also pins the two RNG
 stream identities the fast node-MEG runner is built on (block pre-drawing
 and the inverse-CDF mirror of ``Generator.choice``), and the new
@@ -12,20 +12,13 @@ and the inverse-CDF mirror of ``Generator.choice``), and the new
 
 from __future__ import annotations
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import networkx as nx
 import numpy as np
 import pytest
-import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
-import repro
 from repro.core.flooding import flood, flood_sources_set
 from repro.engine import (
     BACKENDS,
@@ -33,7 +26,6 @@ from repro.engine import (
     BATCH_AUTO_MIN_TRIALS,
     BITSET_AUTO_MIN_NODES,
     Engine,
-    NUMBA_AVAILABLE,
     TrialSpec,
     flood_bitset,
     flood_sources_batch,
@@ -51,7 +43,6 @@ from repro.engine import (
 )
 from repro.engine.batch import _GenericTrialBatch
 from repro.engine.bitset import popcount
-from repro.engine.jit import csr_reach, numba_requested
 from repro.graphs.grid import augmented_grid_graph, grid_graph
 from repro.markov.builders import random_walk_on_graph
 from repro.meg.base import DynamicGraph, StaticGraphProcess
@@ -478,48 +469,12 @@ class TestBackendResolutionNew:
         assert serial == threaded == explicit
 
 
-class TestJitFallback:
-    def test_csr_reach_matches_row_union(self):
-        rng = np.random.default_rng(8)
-        dense = rng.random((40, 40)) < 0.1
-        dense |= dense.T
-        np.fill_diagonal(dense, False)
-        matrix = scipy.sparse.csr_matrix(dense.astype(np.int8))
-        for _ in range(5):
-            informed = rng.random(40) < 0.3
-            out = np.empty(40, dtype=bool)
-            expected = np.logical_or.reduce(dense[informed], axis=0) if informed.any() else np.zeros(40, bool)
-            assert np.array_equal(csr_reach(matrix, informed, out), expected)
-            assert csr_reach(matrix, informed, out) is out
-
-    def test_sparse_kernel_exact_without_numba(self):
-        # The local environment has no numba; the fallback path must keep the
-        # sparse kernel bit-identical to the set loop.
+class TestSparseKernel:
+    def test_sparse_kernel_matches_set_loop(self):
         for seed in range(3):
             assert flood_sparse(EdgeMEG(30, p=0.1, q=0.3), rng=seed) == flood(
                 EdgeMEG(30, p=0.1, q=0.3), rng=seed
             )
-
-    def test_numba_requested_reads_escape_hatch(self, monkeypatch):
-        monkeypatch.delenv("REPRO_DISABLE_NUMBA", raising=False)
-        assert numba_requested()
-        monkeypatch.setenv("REPRO_DISABLE_NUMBA", "1")
-        assert not numba_requested()
-
-    def test_escape_hatch_disables_numba_at_import(self):
-        # A fresh interpreter with the escape hatch set must come up with the
-        # fallback even when numba is installed.
-        env = dict(os.environ)
-        env["REPRO_DISABLE_NUMBA"] = "1"
-        env["PYTHONPATH"] = str(Path(repro.__file__).resolve().parent.parent)
-        script = (
-            "import repro.engine.jit as jit\n"
-            "assert not jit.NUMBA_AVAILABLE\n"
-            "assert not jit.numba_requested()\n"
-        )
-        subprocess.run(
-            [sys.executable, "-c", script], env=env, check=True, timeout=120
-        )
 
 
 class TestKernelTelemetry:
@@ -541,5 +496,3 @@ class TestKernelTelemetry:
         assert counters["kernel.flood.batch_trials_fast"] == 3 + BATCH_AUTO_MIN_TRIALS
         assert counters["kernel.flood.batch_trials_generic"] == 2
         assert counters["engine.backend.batch"] == BATCH_AUTO_MIN_TRIALS
-        if NUMBA_AVAILABLE:  # pragma: no cover - numba absent locally
-            assert "kernel.jit.csr" not in counters

@@ -18,12 +18,7 @@ import numpy as np
 import pytest
 import scipy.sparse
 
-from repro.core.flooding import (
-    batch_source_flooding_times,
-    batched_flooding_time_samples,
-    flood,
-    flood_sources_set,
-)
+from repro.core.flooding import flood, flood_sources_set
 from repro.engine import (
     Engine,
     TrialSpec,
@@ -259,24 +254,26 @@ class TestBatchedSourceEstimators:
 
     def test_all_sources_times_match_per_source_floods(self):
         model = _node_meg(16)
-        times = batch_source_flooding_times(model, "all", rng=4)
+        times = flood_sources_batch(model, list(range(16)), rng=4)
         assert len(times) == 16
         reference = flood_sources_set(model, range(16), rng=4)
         assert times == reference
 
     def test_sampled_sources_reproducible_and_worker_invariant(self):
-        model = EdgeMEG(30, p=0.1, q=0.3)
-        serial = batched_flooding_time_samples(model, 6, sources=5, rng=9, workers=1)
-        parallel = batched_flooding_time_samples(model, 6, sources=5, rng=9, workers=3)
+        spec = TrialSpec.from_model(
+            EdgeMEG(30, p=0.1, q=0.3), num_trials=6, num_sources=5, seed=9
+        )
+        serial = Engine(workers=1).run(spec).flooding_times
+        parallel = Engine(workers=3).run(spec).flooding_times
         assert serial == parallel
         assert len(serial) == 6
 
     def test_batched_backends_agree(self):
-        model = _family_models()["mobility"]
+        spec = TrialSpec.from_model(
+            _family_models()["mobility"], num_trials=3, num_sources=4, seed=1
+        )
         samples = {
-            backend: batched_flooding_time_samples(
-                model, 3, sources=4, rng=1, backend=backend
-            )
+            backend: Engine(backend=backend).run(spec).flooding_times
             for backend in ("set", "vectorized", "sparse")
         }
         assert samples["set"] == samples["vectorized"] == samples["sparse"]
@@ -296,21 +293,19 @@ class TestBatchedSourceEstimators:
 
     def test_numpy_array_sources_accepted(self):
         model = EdgeMEG(20, p=0.1, q=0.3)
-        from_array = batch_source_flooding_times(model, np.array([0, 1, 2]), rng=0)
-        from_list = batch_source_flooding_times(model, [0, 1, 2], rng=0)
+        from_array = flood_sources_batch(model, np.array([0, 1, 2]), rng=0)
+        from_list = flood_sources_batch(model, [0, 1, 2], rng=0)
         assert from_array == from_list
-        samples = batched_flooding_time_samples(
-            model, 2, sources=np.array([0, 1, 2]), rng=0
+        spec = TrialSpec.from_model(
+            model, num_trials=2, sources=np.array([0, 1, 2]), seed=0
         )
-        assert len(samples) == 2
+        assert len(Engine().run(spec).flooding_times) == 2
 
     def test_oversized_source_sample_rejected(self):
         model = EdgeMEG(20, p=0.1, q=0.3)
         spec = TrialSpec.from_model(model, num_trials=1, num_sources=100, seed=0)
         with pytest.raises(ValueError):
             Engine().run(spec)
-        with pytest.raises(ValueError):
-            batch_source_flooding_times(model, 100, rng=0)
 
     def test_single_source_cache_token_unchanged_by_new_fields(self):
         # Pre-batching stored results must keep their addresses: a spec
@@ -344,8 +339,6 @@ class TestBatchedSourceEstimators:
             flood_sources_set(model, [])
         with pytest.raises(ValueError):
             flood_sources_set(model, [10])
-        with pytest.raises(ValueError):
-            batch_source_flooding_times(model, 0)
 
     def test_incomplete_batch_raises(self):
         graph = nx.Graph()

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.flooding import batch_source_flooding_times, flood, flood_sources_set
+from repro.core.flooding import flood, flood_sources_set
 from repro.engine import (
     Engine,
     SnapshotReplay,
@@ -171,13 +171,6 @@ class TestChunkedSourceBatches:
         )
         chunked = flood_sources_batch(
             EdgeMEG(20, p=0.2, q=0.4), sources, rng=2, backend="sparse", chunk_size=6
-        )
-        assert chunked == plain
-
-    def test_batch_source_flooding_times_chunked(self):
-        plain = batch_source_flooding_times(EdgeMEG(20, p=0.2, q=0.4), "all", rng=3)
-        chunked = batch_source_flooding_times(
-            EdgeMEG(20, p=0.2, q=0.4), "all", rng=3, chunk_size=4
         )
         assert chunked == plain
 

@@ -9,6 +9,7 @@ import numpy as np
 from repro.engine import Engine, ResultStore, TrialSpec, jsonify
 from repro.experiments.runner import measure_flooding_sweep
 from repro.meg.edge_meg import EdgeMEG
+from repro.telemetry import core as telemetry
 
 
 def make_sweep_model(num_nodes: int) -> EdgeMEG:
@@ -66,6 +67,28 @@ class TestResultStore:
         reloaded = ResultStore(tmp_path)
         assert reloaded.get(key) == {"value": 1}
         assert len(reloaded) == 1
+
+    def test_put_after_torn_tail_starts_a_new_line(self, tmp_path):
+        # A crash mid-append leaves a last line with no newline; the next
+        # put must not be glued onto it, or it is lost on reload.
+        store = ResultStore(tmp_path)
+        key_a = ResultStore.compute_key({"model": "a"})
+        key_c = ResultStore.compute_key({"model": "c"})
+        store.put(key_a, {"value": 1})
+        with open(store.path, "a", encoding="utf-8") as handle:
+            handle.write('{"key": "b", "record": {"val')
+        instance = telemetry.activate(telemetry.Telemetry(process="store-test"))
+        try:
+            ResultStore(tmp_path).put(key_c, {"value": 3})
+            ResultStore(tmp_path).put(key_a, {"value": 2})  # tail now intact
+            counters = instance.metrics_snapshot()["counters"]
+        finally:
+            telemetry.deactivate(instance)
+        reloaded = ResultStore(tmp_path)
+        assert reloaded.get(key_c) == {"value": 3}
+        assert reloaded.get(key_a) == {"value": 2}
+        assert len(reloaded) == 2
+        assert counters["store.torn_tail_repaired"] == 1
 
     def test_last_write_wins(self, tmp_path):
         store = ResultStore(tmp_path)

@@ -35,6 +35,7 @@ from repro.fleet import JobSpool
 from repro.fleet.top import gather_frame, render_frame, run_top
 from repro.serve import SimulationService
 from repro.telemetry import core as telemetry
+from repro.telemetry import timeseries
 from repro.telemetry import trace as tracectx
 from repro.telemetry.timeseries import (
     TelemetryTailer,
@@ -383,6 +384,35 @@ class TestTelemetryTailer:
         assert tailer.timings["t"] == {
             "count": 2, "total": 4.0, "min": 1.0, "max": 3.0, "mean": 2.0,
         }
+
+    def test_report_state_is_bounded_and_ts_ordered(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(timeseries, "REQUEUE_LOG", 3)
+        # File a sorts first but holds later events than file b.
+        _append(tmp_path / "events-a.jsonl", [
+            {"kind": "event", "name": "queue.requeue", "job": "j5", "ts": 5.0},
+            {"kind": "event", "name": "queue.failed", "job": "j3", "ts": 3.0},
+            {"kind": "span", "name": "worker.job", "job": "late", "process": "a",
+             "ts": 9.0, "duration_seconds": 7.0},
+        ] + [
+            {"kind": "span", "name": "engine.run", "label": f"r{index}",
+             "process": "a", "ts": 10.0 + index, "duration_seconds": float(index)}
+            for index in range(6)
+        ])
+        _append(tmp_path / "events-b.jsonl", [
+            {"kind": "event", "name": "queue.requeue", "job": "j4", "ts": 4.0},
+            {"kind": "event", "name": "queue.requeue", "job": "j1", "ts": 1.0},
+            {"kind": "span", "name": "worker.job", "job": "early", "process": "b",
+             "ts": 2.0, "duration_seconds": 7.0},
+        ])
+        tailer = TelemetryTailer(str(tmp_path), top=3)
+        tailer.poll()
+        summary = tailer.summary()
+        # the newest REQUEUE_LOG requeues by ts, oldest first
+        assert [entry["job"] for entry in summary["requeues"]] == ["j3", "j4", "j5"]
+        assert summary["queue"] == {"queue.requeue": 3, "queue.failed": 1}
+        # top-N slowest; a tie goes to the earlier span
+        assert [job["job"] for job in summary["slowest_jobs"]] == ["early", "late", "r5"]
+        assert len(tailer._slowest) == 3
 
     def test_active_jobs_and_window_stats(self, tmp_path):
         now = 100.0

@@ -6,7 +6,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.stats.sequential import (
@@ -35,6 +35,7 @@ float_samples = st.lists(finite_floats, min_size=1, max_size=200)
 
 class TestMomentSketch:
     @given(samples=float_samples)
+    @example(samples=[715827883.3155577] * 3)  # constant: the spread is exactly 0
     @settings(max_examples=60, deadline=None)
     def test_matches_exact_summary(self, samples):
         sketch = MomentSketch()

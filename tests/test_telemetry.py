@@ -33,12 +33,8 @@ from repro.telemetry.log import (
     get_logger,
     resolve_level,
 )
-from repro.telemetry.report import (
-    format_report,
-    load_events,
-    summarize_events,
-    telemetry_report,
-)
+from repro.telemetry.report import format_report, load_events, telemetry_report
+from repro.telemetry.timeseries import TelemetryTailer
 
 
 @pytest.fixture(autouse=True)
@@ -52,6 +48,11 @@ def _no_leaked_telemetry():
 def _events(path):
     with open(path, encoding="utf-8") as handle:
         return [json.loads(line) for line in handle if line.strip()]
+
+
+def _write_events(path, records):
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.writelines(json.dumps(record) + "\n" for record in records)
 
 
 def _spec(trials: int = 4, seed: int = 5) -> TrialSpec:
@@ -351,7 +352,7 @@ class TestWorkerInstrumentation:
         records = _events(instance.path)
         outcomes = [r["outcome"] for r in records if r.get("name") == "worker.job"]
         assert outcomes == ["failed", "failed"]
-        summary = summarize_events(records)
+        summary = telemetry_report(str(tmp_path / "tel"))
         assert summary["queue"]["queue.requeue"] == 1
         assert summary["queue"]["queue.failed"] == 1
         assert [entry["name"] for entry in summary["requeues"]] == [
@@ -395,7 +396,8 @@ class TestReport:
                          {"count": 2, "total": 0.1, "min": 0.02, "max": 0.08,
                           "mean": 0.05}}},
         ]
-        summary = summarize_events(events, top=1)
+        _write_events(tmp_path / "events-mixed.jsonl", events)
+        summary = telemetry_report(str(tmp_path), top=1)
         assert summary["events"] == 5
         assert summary["phases"]["worker.job"]["count"] == 2
         assert summary["phases"]["worker.job"]["mean_seconds"] == pytest.approx(1.25)
@@ -413,6 +415,22 @@ class TestReport:
             "lease expired", "kernel dispatch: vectorized=4",
         ):
             assert needle in rendered, needle
+
+    def test_report_and_exposition_agree_on_newest_gauge(self, tmp_path, capsys):
+        # The file that sorts later by name holds the older gauge: every
+        # view must still report the value with the latest ts.
+        _write_events(tmp_path / "events-a.jsonl", [
+            {"ts": 2.0, "process": "a", "kind": "metrics", "gauges": {"g": 2.0}},
+        ])
+        _write_events(tmp_path / "events-b.jsonl", [
+            {"ts": 1.0, "process": "b", "kind": "metrics", "gauges": {"g": 1.0}},
+        ])
+        json_path = tmp_path / "report.json"
+        assert main(["telemetry", "report", str(tmp_path),
+                     "--json", str(json_path)]) == 0
+        assert json.loads(json_path.read_text())["metrics"]["gauges"] == {"g": 2.0}
+        text = TelemetryTailer(str(tmp_path)).exposition()
+        assert "\nrepro_g 2\n" in text
 
     def test_telemetry_report_round_trip(self, tmp_path):
         instance = telemetry.enable(str(tmp_path), process="p")
